@@ -33,8 +33,8 @@ from repro.core.candidates import candidate_targets
 from repro.core.constraints import topology_obviously_infeasible
 from repro.core.greedy import (
     GreedyConfig,
-    _immediate_cost,
     apply_pinned,
+    preselect,
     run_greedy_from,
     sort_nodes_by_relative_weight,
 )
@@ -275,9 +275,13 @@ class BAStar(PlacementAlgorithm):
 
         rec = obs.get_recorder()
         # Initial upper bound from a full EG run (Algorithm 2 line 3).
+        bound_started = time.perf_counter()
         best_partial, u_upper = self._eg_bound(
             root, order, objective, bound_estimator, stats
         )
+        root_eg_duration = time.perf_counter() - bound_started
+        if rec.enabled:
+            rec.observe("ostro_eg_bound_seconds", root_eg_duration)
         if rec.enabled and best_partial is not None:
             rec.event("bound_updated", bound=u_upper, source="eg_initial")
 
@@ -346,10 +350,21 @@ class BAStar(PlacementAlgorithm):
                     and depth > eg_rerun_depth
                 )
             )
-            rerun_ok = (
-                self.eg_rerun_policy == "on-advance" or depth > eg_rerun_depth
-            ) and self._allow_bound_rerun(self._last_eg_duration)
-            if advanced and rerun_ok:
+            if depth == 0:
+                # The root is the first pop and always "advances", but its
+                # re-run would repeat the initial bound run exactly (same
+                # path, node order and estimator): its result is known and
+                # cannot improve the incumbent.
+                u_max, eg_rerun_depth = u_p, 0
+                self._last_eg_duration = root_eg_duration
+            elif (
+                advanced
+                and (
+                    self.eg_rerun_policy == "on-advance"
+                    or depth > eg_rerun_depth
+                )
+                and self._allow_bound_rerun(self._last_eg_duration)
+            ):
                 u_max = max(u_max, u_p)
                 eg_rerun_depth = max(eg_rerun_depth, depth)
                 rerun_started = time.perf_counter()
@@ -374,32 +389,14 @@ class BAStar(PlacementAlgorithm):
             targets = candidate_targets(
                 partial_p, node_name, dedup=self.greedy_config.dedup
             )
-            cap = self.greedy_config.max_full_candidates
+            # Preselect by the cheap immediate-cost proxy, as EG does:
+            # estimating hundreds of symmetric children would starve the
+            # search of depth.
+            targets, _ = preselect(
+                partial_p, objective, node_name, targets,
+                self.greedy_config.max_full_candidates,
+            )
             use_numpy = kernel.numpy_active()
-            if cap is not None and len(targets) > cap:
-                # Preselect by the cheap immediate-cost proxy, as EG does:
-                # estimating hundreds of symmetric children would starve
-                # the search of depth.
-                if use_numpy:
-                    costs = kernel.immediate_costs(
-                        partial_p, objective, node_name, targets
-                    )
-                    if kernel.crosscheck_active():
-                        kernel.verify_immediate_costs(
-                            partial_p, objective, node_name, targets, costs
-                        )
-                    # stable, like sorted() with a key: ties keep order
-                    index = sorted(
-                        range(len(targets)), key=costs.__getitem__
-                    )
-                    targets = [targets[i] for i in index][:cap]
-                else:
-                    targets = sorted(
-                        targets,
-                        key=lambda t: _immediate_cost(
-                            partial_p, objective, node_name, t
-                        ),
-                    )[:cap]
             branched = 0
             rest = order[depth + 1 :]
             if use_numpy:

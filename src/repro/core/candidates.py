@@ -25,7 +25,17 @@ disabled (``dedup=False``) for ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 from repro.core import constraints, kernel
 from repro.core.kernel import quantize
@@ -46,6 +56,78 @@ class CandidateTarget:
     host: int
     disk: Optional[int] = None
     multiplicity: int = 1
+
+
+class CandidateArray(Sequence[CandidateTarget]):
+    """Candidate targets stored column-wise, the numpy kernel's form.
+
+    Element ``i`` is ``CandidateTarget(host[i], disk[i],
+    multiplicity[i])``, built only when it is read: ranking a wide
+    candidate set and splitting it at the scoring cap are then array
+    operations, and only the targets a search actually scores or tries
+    become objects. Compares equal to any sequence with equal elements,
+    such as the python kernel's list.
+
+    Attributes:
+        host: int64 array of global host indices.
+        disk: int64 array of global disk indices for volumes, None for
+            VMs.
+        multiplicity: int64 array of equivalence-class sizes.
+    """
+
+    __slots__ = ("host", "disk", "multiplicity")
+
+    def __init__(self, host: Any, disk: Any, multiplicity: Any) -> None:
+        self.host = host
+        self.disk = disk
+        self.multiplicity = multiplicity
+
+    def __len__(self) -> int:
+        return len(self.host)
+
+    @overload
+    def __getitem__(self, index: int) -> CandidateTarget:
+        ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "CandidateArray":
+        ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[CandidateTarget, "CandidateArray"]:
+        if isinstance(index, slice):
+            return self.take(index)
+        return CandidateTarget(
+            int(self.host[index]),
+            None if self.disk is None else int(self.disk[index]),
+            int(self.multiplicity[index]),
+        )
+
+    def __iter__(self) -> Iterator[CandidateTarget]:
+        hosts = self.host.tolist()
+        disks = [None] * len(hosts) if self.disk is None else self.disk.tolist()
+        for host, disk, count in zip(hosts, disks, self.multiplicity.tolist()):
+            yield CandidateTarget(host, disk, count)
+
+    def take(self, index: Any) -> "CandidateArray":
+        """The targets at ``index`` (an index array or a slice), in order."""
+        return CandidateArray(
+            self.host[index],
+            None if self.disk is None else self.disk[index],
+            self.multiplicity[index],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        # defining __eq__ leaves the class unhashable, like a list
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"CandidateArray({list(self)!r})"
 
 
 def _distance_signatures(
@@ -74,7 +156,7 @@ def candidate_targets(
     node_name: str,
     dedup: bool = True,
     limit: Optional[int] = None,
-) -> List[CandidateTarget]:
+) -> Sequence[CandidateTarget]:
     """Feasible targets for a node, optionally deduplicated.
 
     Args:
@@ -91,8 +173,10 @@ def candidate_targets(
             full-scan multiplicities.
 
     Returns:
-        Feasible :class:`CandidateTarget` records in ascending host order.
-        Empty when the node cannot be placed anywhere right now.
+        Feasible :class:`CandidateTarget` records in ascending host order:
+        a list from the python kernel, a :class:`CandidateArray` from the
+        numpy kernel. Empty when the node cannot be placed anywhere right
+        now.
 
     Dispatches to the vectorized kernel when it is active (see
     :mod:`repro.core.kernel`); results are bit-identical either way, and

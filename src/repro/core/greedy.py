@@ -13,14 +13,28 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import obs
 from repro.core import kernel
 from repro.core.base import PlacementAlgorithm, PlacementResult, SearchStats
-from repro.core.candidates import CandidateTarget, candidate_targets
+from repro.core.candidates import (
+    CandidateArray,
+    CandidateTarget,
+    candidate_targets,
+)
 from repro.core.constraints import topology_obviously_infeasible
 from repro.core.heuristic import EstimatorConfig, LowerBoundEstimator
 from repro.core.objective import Objective
@@ -194,6 +208,48 @@ def _immediate_cost(
     return objective.score(partial.ubw + delta_bw, partial.uc + activation)
 
 
+def preselect(
+    partial: PartialPlacement,
+    objective: Objective,
+    node_name: str,
+    targets: Sequence[CandidateTarget],
+    cap: Optional[int],
+    tie_key: Optional[Callable[[CandidateTarget], Tuple[float, int]]] = None,
+) -> Tuple[Sequence[CandidateTarget], Sequence[CandidateTarget]]:
+    """Order a node's candidates for scoring and split them at ``cap``.
+
+    ``tie_key``, when given, first sorts the targets (stably). Then, if
+    there are more than ``cap`` of them, the immediate-cost proxy ranks
+    them, ties keeping their current order. Returns ``(head, tail)``: the
+    at most ``cap`` targets the caller scores with the full estimate, and
+    the rest, cheapest first. Under the numpy kernel both halves stay
+    :class:`~repro.core.candidates.CandidateArray` views of one stable
+    argsort, so a target that is never scored or tried is never built.
+    """
+    if kernel.numpy_active():
+        assert isinstance(targets, CandidateArray)
+        if tie_key is not None:
+            keys = [tie_key(target) for target in targets]
+            targets = targets.take(
+                sorted(range(len(keys)), key=keys.__getitem__)
+            )
+        if cap is None or len(targets) <= cap:
+            return targets, ()
+        order = kernel.rank_by_immediate_cost(
+            partial, objective, node_name, targets
+        )
+        return targets.take(order[:cap]), targets.take(order[cap:])
+    if tie_key is not None:
+        targets = sorted(targets, key=tie_key)
+    if cap is None or len(targets) <= cap:
+        return targets, ()
+    ranked = sorted(
+        targets,
+        key=lambda t: _immediate_cost(partial, objective, node_name, t),
+    )
+    return ranked[:cap], ranked[cap:]
+
+
 class EG(PlacementAlgorithm):
     """Estimate-based greedy placement (Algorithm 1 of the paper)."""
 
@@ -309,41 +365,19 @@ def run_greedy_from(
     order = list(remaining)
     rec = obs.get_recorder()
 
-    def ranked_candidates(node_name: str) -> List[CandidateTarget]:
+    def ranked_candidates(node_name: str) -> Iterable[CandidateTarget]:
         """Feasible targets best-first: estimate-scored head + proxy tail."""
-        targets = candidate_targets(partial, node_name, dedup=config.dedup)
-        if tie_key is not None:
-            # stable sort: tie_key settles equal-cost candidates below
-            targets.sort(key=tie_key)
-        tail: List[CandidateTarget] = []
-        use_numpy = kernel.numpy_active()
-        if (
-            config.max_full_candidates is not None
-            and len(targets) > config.max_full_candidates
-        ):
-            if use_numpy:
-                costs = kernel.immediate_costs(
-                    partial, objective, node_name, targets
-                )
-                if kernel.crosscheck_active():
-                    kernel.verify_immediate_costs(
-                        partial, objective, node_name, targets, costs
-                    )
-                # stable, like list.sort with a key: ties keep input order
-                index = sorted(range(len(targets)), key=costs.__getitem__)
-                targets = [targets[i] for i in index]
-            else:
-                targets.sort(
-                    key=lambda t: _immediate_cost(
-                        partial, objective, node_name, t
-                    )
-                )
-            targets, tail = (
-                targets[: config.max_full_candidates],
-                targets[config.max_full_candidates :],
-            )
+        head, tail = preselect(
+            partial,
+            objective,
+            node_name,
+            candidate_targets(partial, node_name, dedup=config.dedup),
+            config.max_full_candidates,
+            tie_key,
+        )
+        targets = list(head)
         scored = []
-        if use_numpy:
+        if kernel.numpy_active():
             rest = [
                 n
                 for n in order
@@ -378,7 +412,9 @@ def run_greedy_from(
                 stats.candidates_scored += 1
                 scored.append((score, rank, target))
             scored.sort(key=lambda item: (item[0], item[1]))
-            return [target for _, _, target in scored] + tail
+            return itertools.chain(
+                [target for _, _, target in scored], tail
+            )
         for rank, target in enumerate(targets):
             partial.assign(node_name, target.host, target.disk)
             rest = [n for n in order if not partial.is_placed(n)]
@@ -405,7 +441,7 @@ def run_greedy_from(
             stats.candidates_scored += 1
             scored.append((score, rank, target))
         scored.sort(key=lambda item: (item[0], item[1]))
-        return [target for _, _, target in scored] + tail
+        return itertools.chain([target for _, _, target in scored], tail)
 
     backtracking_place(
         partial, order, ranked_candidates, config.max_backtracks, stats
@@ -415,31 +451,32 @@ def run_greedy_from(
 def backtracking_place(
     partial: PartialPlacement,
     order: List[str],
-    rank_fn: Callable[[str], List[CandidateTarget]],
+    rank_fn: Callable[[str], Iterable[CandidateTarget]],
     max_backtracks: int,
     stats: SearchStats,
 ) -> None:
     """Place ``order`` one node at a time with neighbor-directed backjumping.
 
     ``rank_fn(node_name)`` must return that node's feasible candidates,
-    best first, evaluated against the current ``partial``. When a node has
-    no candidates, the search jumps back to the most recent *conflicting*
-    decision: a placed neighbor of the failing node, or any node sharing a
+    best first, evaluated against the current ``partial``; they are drawn
+    one at a time, so a lazily built ranking is built only as far as the
+    search tries it. When a node has no candidates left, the search jumps
+    back to the most recent *conflicting* decision: a placed neighbor of the failing node, or any node sharing a
     host with a placed neighbor (those are the placements that drain the
     capacity and NIC bandwidth the failing node needs). Up to
     ``max_backtracks`` jumps are spent before giving up.
     """
     # Level i holds the not-yet-tried candidates for order[i].
     rec = obs.get_recorder()
-    pending: List[List[CandidateTarget]] = []
+    pending: List[Iterator[CandidateTarget]] = []
     backtracks = 0
     level = 0
     while level < len(order):
         node_name = order[level]
         if len(pending) == level:
-            pending.append(rank_fn(node_name))
-        candidates = pending[level]
-        if not candidates:
+            pending.append(iter(rank_fn(node_name)))
+        target = next(pending[level], None)
+        if target is None:
             if level == 0 or backtracks >= max_backtracks:
                 raise PlacementError(
                     f"no feasible host for node {node_name!r}",
@@ -475,7 +512,6 @@ def backtracking_place(
             backtracks += 1
             stats.backtracks = backtracks
             continue
-        target = candidates.pop(0)
         partial.assign(node_name, target.host, target.disk)
         if rec.enabled:
             rec.event(
@@ -533,20 +569,18 @@ class EGC(PlacementAlgorithm):
                 stats.candidates_scored += len(targets)
                 node = topology.node(node_name)
                 if node.is_vm:
-                    targets.sort(
+                    return sorted(
+                        targets,
                         key=lambda t: (
                             partial.state.free_cpu[t.host],
                             partial.state.free_mem[t.host],
                             t.host,
-                        )
+                        ),
                     )
-                else:
-                    targets.sort(
-                        key=lambda t: (
-                            partial.state.free_disk[t.disk], t.host
-                        )
-                    )
-                return targets
+                return sorted(
+                    targets,
+                    key=lambda t: (partial.state.free_disk[t.disk], t.host),
+                )
 
             try:
                 backtracking_place(

@@ -73,7 +73,7 @@ from repro.datacenter.resources import EPSILON
 from repro.datacenter.state import DataCenterState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.candidates import CandidateTarget
+    from repro.core.candidates import CandidateArray, CandidateTarget
     from repro.core.heuristic import LowerBoundEstimator
     from repro.core.objective import Objective
     from repro.core.placement import PartialPlacement
@@ -175,7 +175,8 @@ _SIG_PAD = -(2**50)
 class CloudArrays:
     """Immutable arrays describing one cloud's structure.
 
-    Cached per :class:`~repro.datacenter.model.Cloud` (weakly). Provides
+    Cached per :class:`~repro.datacenter.model.Cloud` (weakly, and holding
+    no reference back to the cloud, so a dropped cloud is freed). Provides
     the vectorized twins of ``distance`` / ``separated_at`` /
     ``hop_count`` / ``uplink_chain``:
 
@@ -198,7 +199,6 @@ class CloudArrays:
         return arrays
 
     def __init__(self, cloud: Cloud) -> None:
-        self.cloud = cloud
         num_hosts = len(cloud.hosts)
         ancestors = cloud._ancestors
         rack_id = np.array([a[0] for a in ancestors], dtype=np.int64)
@@ -356,7 +356,9 @@ class StateView:
     Refreshed lazily: the state's ``version`` counter (bumped by every
     mutator, including fault injection and the bit-exact undo path) gates
     re-copying, so bursts of candidate generations against an unchanged
-    state reuse the same arrays.
+    state reuse the same arrays. Cached per state (weakly); the view
+    holds no reference to its state, so a searched state is freed once
+    the search drops it.
     """
 
     _CACHE: "WeakKeyDictionary[DataCenterState, StateView]" = (
@@ -367,13 +369,12 @@ class StateView:
     def for_state(cls, state: DataCenterState) -> "StateView":
         view = cls._CACHE.get(state)
         if view is None:
-            view = cls(state)
+            view = cls()
             cls._CACHE[state] = view
-        view.refresh()
+        view.refresh(state)
         return view
 
-    def __init__(self, state: DataCenterState) -> None:
-        self.state = state
+    def __init__(self) -> None:
         self.version = -1
         self.cpu_free: Any = None
         self.mem_free: Any = None
@@ -381,8 +382,9 @@ class StateView:
         self.bw_free: Any = None
         self.active: Any = None
 
-    def refresh(self) -> None:
-        state = self.state
+    def refresh(self, state: DataCenterState) -> None:
+        """Re-copy ``state``'s free resources if it changed since the last
+        refresh (the view must only ever be refreshed from one state)."""
         if self.version == state.version and self.cpu_free is not None:
             return
         self.cpu_free = np.array(state.free_cpu, dtype=np.float64)
@@ -470,16 +472,17 @@ def candidate_targets_numpy(
     node_name: str,
     dedup: bool = True,
     limit: Optional[int] = None,
-) -> List["CandidateTarget"]:
+) -> "CandidateArray":
     """Array twin of :func:`repro.core.candidates.candidate_targets`.
 
     Feasibility is one boolean mask over all hosts (or disks); dedup is
     an ``np.unique`` over an integer signature matrix, with first-seen
     class order and full-scan multiplicities reproducing the reference
-    scan exactly, including its ``limit`` semantics.
+    scan exactly, including its ``limit`` semantics. The result stays in
+    arrays (:class:`~repro.core.candidates.CandidateArray`).
     """
     from repro.core import constraints
-    from repro.core.candidates import CandidateTarget
+    from repro.core.candidates import CandidateArray
 
     node = partial.topology.node(node_name)
     state = partial.state
@@ -515,20 +518,16 @@ def candidate_targets_numpy(
         hosts = arrays.disk_host[disks]
 
     count = len(hosts)
-    if count == 0:
-        return []
-
-    if not dedup:
+    if not dedup or count == 0:
         if limit is not None:
             hosts = hosts[:limit]
             if disks is not None:
                 disks = disks[:limit]
-        if disks is None:
-            return [CandidateTarget(host=int(h)) for h in hosts]
-        return [
-            CandidateTarget(host=int(h), disk=int(d))
-            for h, d in zip(hosts, disks)
-        ]
+        return CandidateArray(
+            host=hosts,
+            disk=disks,
+            multiplicity=np.ones(len(hosts), dtype=np.int64),
+        )
 
     placed_hosts = sorted(partial.placed_hosts())
     max_chain = arrays.chain_matrix.shape[1]
@@ -574,25 +573,12 @@ def candidate_targets_numpy(
     class_order = np.argsort(first, kind="stable")
     if limit is not None:
         class_order = class_order[:limit]
-    first_l = first.tolist()
-    counts_l = counts.tolist()
-    hosts_l = hosts.tolist()
-    if disks is None:
-        return [
-            CandidateTarget(
-                host=hosts_l[first_l[ci]], multiplicity=counts_l[ci]
-            )
-            for ci in class_order.tolist()
-        ]
-    disks_l = disks.tolist()
-    return [
-        CandidateTarget(
-            host=hosts_l[first_l[ci]],
-            disk=disks_l[first_l[ci]],
-            multiplicity=counts_l[ci],
-        )
-        for ci in class_order.tolist()
-    ]
+    rep = first[class_order]
+    return CandidateArray(
+        host=hosts[rep],
+        disk=None if disks is None else disks[rep],
+        multiplicity=counts[class_order].astype(np.int64),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -613,23 +599,44 @@ def immediate_costs(
     partial: "PartialPlacement",
     objective: "Objective",
     node_name: str,
-    targets: Sequence["CandidateTarget"],
-) -> List[float]:
-    """Batch twin of the greedy immediate-cost candidate preselector."""
+    targets: "CandidateArray",
+) -> Any:
+    """Batch twin of the greedy immediate-cost candidate preselector.
+
+    Returns a float64 array aligned with ``targets``.
+    """
     state = partial.state
     arrays = CloudArrays.for_cloud(state.cloud)
     view = StateView.for_state(state)
-    hosts = np.array([t.host for t in targets], dtype=np.int64)
-    delta_bw = np.zeros(len(targets))
+    hosts = targets.host
+    delta_bw = np.zeros(len(hosts))
     for neighbor, bw in partial.topology.neighbors(node_name):
         assigned = partial.assignments.get(neighbor)
         if assigned is not None and bw > 0:
             delta_bw = delta_bw + bw * arrays.hops_row(assigned.host)[hosts]
     activation = (~view.active[hosts]).astype(np.int64)
-    scores = _score_array(
+    return _score_array(
         objective, partial.ubw + delta_bw, partial.uc + activation
     )
-    return scores.tolist()
+
+
+def rank_by_immediate_cost(
+    partial: "PartialPlacement",
+    objective: "Objective",
+    node_name: str,
+    targets: "CandidateArray",
+) -> Any:
+    """Index order of ``targets`` by ascending immediate cost.
+
+    A stable argsort, so equal costs keep their input order, exactly
+    like ``sorted(targets, key=_immediate_cost)`` in the python kernel.
+    The ``crosscheck`` kernel verifies the costs and the order.
+    """
+    costs = immediate_costs(partial, objective, node_name, targets)
+    order = np.argsort(costs, kind="stable")
+    if crosscheck_active():
+        verify_ranking(partial, objective, node_name, targets, costs, order)
+    return order
 
 
 # ----------------------------------------------------------------------
@@ -1682,20 +1689,32 @@ def verify_batch(
             )
 
 
-def verify_immediate_costs(
+def verify_ranking(
     partial: "PartialPlacement",
     objective: "Objective",
     node_name: str,
-    targets: Sequence["CandidateTarget"],
-    costs: Sequence[float],
+    targets: "CandidateArray",
+    costs: Any,
+    order: Any,
 ) -> None:
-    """Crosscheck the batch immediate-cost proxy against the reference."""
+    """Crosscheck the immediate costs and the ranked order of ``targets``
+    against the python reference (a stable ``_immediate_cost`` sort)."""
     from repro.core.greedy import _immediate_cost
 
-    for target, cost in zip(targets, costs):
-        ref = _immediate_cost(partial, objective, node_name, target)
+    reference = list(targets)
+    ref_costs = [
+        _immediate_cost(partial, objective, node_name, target)
+        for target in reference
+    ]
+    for target, cost, ref in zip(reference, costs.tolist(), ref_costs):
         if cost != ref:
             raise KernelMismatch(
                 f"immediate cost mismatch for node {node_name!r} on host "
                 f"{target.host}: numpy {cost!r} != python {ref!r}"
             )
+    ref_order = sorted(range(len(reference)), key=ref_costs.__getitem__)
+    if order.tolist() != ref_order:
+        raise KernelMismatch(
+            f"candidate ranking mismatch for node {node_name!r}: numpy "
+            f"{order.tolist()!r} != python {ref_order!r}"
+        )

@@ -210,6 +210,9 @@ class Cloud:
         self._uplink_chains: List[Tuple[int, ...]] = [
             tuple(link for link, _ in chain) for chain in self._chains
         ]
+        # distance -> min_hops_for_distance's one-sided step count (None:
+        # not realisable); the structure never changes after indexing
+        self._min_steps: Dict[int, Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # indexing
@@ -396,21 +399,32 @@ class Cloud:
         at a given level consume at least this many link traversals. The
         value is computed over the actual cloud structure, so pod-less data
         centers report 4 hops for distance 3 (host NIC + ToR uplink on both
-        sides) while podded ones report 6.
+        sides) while podded ones report 6. Memoized per distance, since
+        every estimator construction asks; a distance the cloud cannot
+        realise raises :class:`DataCenterError` on every call.
         """
         if dist <= 0:
             return 0
+        if dist in self._min_steps:
+            best = self._min_steps[dist]
+        else:
+            best = self._min_steps[dist] = self._scan_min_steps(dist)
+        if best is None:
+            raise DataCenterError(
+                f"cloud cannot separate hosts at distance {dist}"
+            )
+        return 2 * best
+
+    def _scan_min_steps(self, dist: int) -> Optional[int]:
+        """Fewest one-sided steps, over all hosts, to a switch covering
+        ``dist`` (None when no host's chain reaches one)."""
         best: Optional[int] = None
         for chain in self._chains:
             # steps needed on one side to reach a switch at/above `dist`
             steps = self._steps_for_distance(chain, dist)
             if steps is not None and (best is None or steps < best):
                 best = steps
-        if best is None:
-            raise DataCenterError(
-                f"cloud cannot separate hosts at distance {dist}"
-            )
-        return 2 * best
+        return best
 
     @staticmethod
     def _steps_for_distance(

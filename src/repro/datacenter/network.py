@@ -16,6 +16,7 @@ import weakref
 from typing import Dict, Iterable, List, Tuple
 
 from repro.datacenter.model import Cloud
+from repro.errors import DataCenterError
 
 
 class PathResolver:
@@ -33,16 +34,25 @@ class PathResolver:
     """
 
     #: per-cloud shared resolvers; weak keys so dropping a cloud drops its
-    #: caches with it
+    #: caches with it. A resolver holds its cloud weakly too: a cache value
+    #: that held its own key would keep the key alive forever.
     _shared: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def __init__(self, cloud: Cloud) -> None:
-        self.cloud = cloud
+        self._cloud = weakref.ref(cloud)
         self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._distances: Dict[Tuple[int, int], int] = {}
         self._hops: Dict[Tuple[int, int], int] = {}
         # host -> list of distances to every other host, built lazily
         self._distance_rows: Dict[int, List[int]] = {}
+
+    @property
+    def cloud(self) -> Cloud:
+        """The cloud this resolver answers for (the caller keeps it alive)."""
+        cloud = self._cloud()
+        if cloud is None:
+            raise DataCenterError("the resolver's cloud has been freed")
+        return cloud
 
     @classmethod
     def for_cloud(cls, cloud: Cloud) -> "PathResolver":

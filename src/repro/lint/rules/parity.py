@@ -28,13 +28,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.symbols import FunctionFacts
 
 #: The paired numpy/python twins and the candidate-tuple class whose
-#: field footprint must match. Tuple class is "module:ClassName".
+#: field footprint must match. Tuple class is "module:ClassName". The
+#: optional array class stores the same fields column-wise, one
+#: constructor kwarg per field, so building it touches those fields.
 PARITY_GROUPS: Tuple[Dict[str, str], ...] = (
     {
         "group": "candidate-targets",
         "numpy": "repro.core.kernel:candidate_targets_numpy",
         "python": "repro.core.candidates:candidate_targets",
         "tuple_class": "repro.core.candidates:CandidateTarget",
+        "array_class": "repro.core.candidates:CandidateArray",
     },
     {
         "group": "immediate-costs",
@@ -110,7 +113,7 @@ def _tuple_fields(
 def _footprint(
     project: "ProjectContext",
     refs: List[str],
-    class_name: str,
+    class_names: Set[str],
     fields: Set[str],
 ) -> Tuple[Set[str], Set[str]]:
     """(touched tuple fields, metric names) over a side's closure."""
@@ -119,9 +122,10 @@ def _footprint(
     for ref in refs:
         fn: "FunctionFacts" = project.functions[ref]
         touched.update(set(fn.attr_reads) & fields)
-        touched.update(
-            set(fn.ctor_kwargs.get(class_name, ())) & fields
-        )
+        for class_name in class_names:
+            touched.update(
+                set(fn.ctor_kwargs.get(class_name, ())) & fields
+            )
         metrics.update(fn.metrics)
     return touched, metrics
 
@@ -151,9 +155,12 @@ class KernelParityRule(ProjectRule):
             class_name, fields = _tuple_fields(
                 project, group["tuple_class"]
             )
-            numpy_fp = _footprint(project, numpy_refs, class_name, fields)
+            class_names = {class_name}
+            if "array_class" in group:
+                class_names.add(group["array_class"].partition(":")[2])
+            numpy_fp = _footprint(project, numpy_refs, class_names, fields)
             python_fp = _footprint(
-                project, python_refs, class_name, fields
+                project, python_refs, class_names, fields
             )
             for kind, numpy_set, python_set in (
                 ("tuple field", numpy_fp[0], python_fp[0]),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datacenter.builder import build_datacenter
+from repro.datacenter.builder import build_cloud, build_datacenter, build_testbed
 from repro.datacenter.model import Cloud, DataCenter, Disk, Host, Level, Rack
 from repro.errors import DataCenterError
 
@@ -154,6 +154,59 @@ class TestHopArithmetic:
         assert podded_cloud.min_hops_for_distance(2) == 4
         assert podded_cloud.min_hops_for_distance(3) == 6
         assert podded_cloud.min_hops_for_distance(4) == 8
+
+
+class TestMinHopsMemo:
+    """``min_hops_for_distance`` is memoized per cloud; the memo must
+    answer exactly what a fresh scan of the uplink chains answers,
+    including raising for a distance the cloud cannot realise."""
+
+    @staticmethod
+    def _scan(cloud, dist):
+        if dist <= 0:
+            return 0
+        steps = [Cloud._steps_for_distance(chain, dist) for chain in cloud._chains]
+        steps = [s for s in steps if s is not None]
+        return 2 * min(steps) if steps else None
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_cloud(
+                num_datacenters=1, pods_per_dc=2, racks_per_pod=2, hosts_per_rack=2
+            ),
+            lambda: build_datacenter(num_racks=3, hosts_per_rack=2),
+            lambda: build_cloud(
+                num_datacenters=2, pods_per_dc=2, racks_per_pod=2, hosts_per_rack=2
+            ),
+            build_testbed,
+        ],
+        ids=["podded", "podless", "multi-dc", "testbed"],
+    )
+    def test_memo_equals_scan(self, make):
+        cloud = make()
+        for _ in range(2):  # the second round answers from the memo
+            for dist in range(5):
+                expected = self._scan(cloud, dist)
+                if expected is None:
+                    with pytest.raises(DataCenterError):
+                        cloud.min_hops_for_distance(dist)
+                else:
+                    assert cloud.min_hops_for_distance(dist) == expected
+
+    def test_unrealisable_distance_still_maps_to_estimator_sentinels(self):
+        from repro.core.heuristic import EstimatorConfig, LowerBoundEstimator
+
+        cloud = build_testbed()
+        with pytest.raises(DataCenterError):
+            cloud.min_hops_for_distance(4)
+        for _ in range(2):
+            informative = LowerBoundEstimator(cloud)
+            admissible = LowerBoundEstimator(
+                cloud, EstimatorConfig().admissible()
+            )
+            assert informative._min_hops[4] == 8.0
+            assert admissible._min_hops[4] == float("inf")
 
 
 class TestLevelParsing:

@@ -570,6 +570,28 @@ class TestKernelParity:
         assert "kernel.batches" in found[0].message
         assert "metric" in found[0].message
 
+    def test_array_class_constructor_touches_its_fields(self):
+        # a column-wise twin built with one kwarg per field balances the
+        # python side's attribute reads
+        diags = lint_parity_project(
+            """
+            def candidate_targets_numpy(hosts, cpus):
+                return CandidateArray(host=hosts, cpu=cpus)
+            """
+        )
+        assert codes(diags, "OST012") == []
+
+    def test_array_class_missing_field_fires(self):
+        diags = lint_parity_project(
+            """
+            def candidate_targets_numpy(hosts):
+                return CandidateArray(host=hosts)
+            """
+        )
+        found = codes(diags, "OST012")
+        assert len(found) == 1
+        assert "cpu" in found[0].message
+
     def test_missing_twin_is_skipped(self):
         diags = lint_parity_project(
             """
