@@ -7,6 +7,11 @@ identical (wall-clock ``runtime_s`` aside, which the fingerprint
 excludes). This is the determinism contract of ``repro.sim.parallel``:
 ``--workers N`` must be a pure wall-clock optimization.
 
+It then re-runs the configuration recorded in the committed
+``BENCH_parallel_sweep.json`` serially and exits non-zero unless its row
+fingerprint equals the committed ``rows_fingerprint_serial``, so the
+committed file cannot drift from what the code produces.
+
 Usage (from the repository root):
 
     PYTHONPATH=src python benchmarks/perf/parallel_smoke.py [--workers 2]
@@ -15,6 +20,7 @@ Usage (from the repository root):
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -23,6 +29,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src"),
 )
 
+from repro.bench import parallel_sweep_rows  # noqa: E402
 from repro.sim.metrics import rows_fingerprint  # noqa: E402
 from repro.sim.runner import sweep  # noqa: E402
 from repro.sim.scenarios import multitier_scenario  # noqa: E402
@@ -33,6 +40,29 @@ from repro.sim.scenarios import multitier_scenario  # noqa: E402
 SIZES = [10, 20]
 ALGORITHMS = ["egc", "egbw", "eg"]
 SEEDS = (0, 1)
+COMMITTED = os.path.join(os.path.dirname(__file__), "BENCH_parallel_sweep.json")
+
+
+def check_committed() -> int:
+    """Serial fingerprint of the committed bench configuration vs the file."""
+    with open(COMMITTED) as fh:
+        committed = json.load(fh)
+    rows = parallel_sweep_rows(
+        committed["sizes"],
+        committed["algorithms"],
+        committed["seeds"],
+        committed["deadline_s"],
+    )
+    fingerprint = rows_fingerprint(rows)
+    expected = committed["rows_fingerprint_serial"]
+    print(f"committed bench fingerprint: {expected}")
+    print(f"bench config serial now:     {fingerprint}")
+    if fingerprint != expected:
+        print("FAIL: BENCH_parallel_sweep.json is stale; regenerate it with "
+              "`repro bench --parallel-sweep`")
+        return 1
+    print("OK: committed bench fingerprint reproduced")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -63,7 +93,7 @@ def main(argv=None) -> int:
                 print(f"  parallel: {b}")
         return 1
     print("OK: parallel rows identical to serial")
-    return 0
+    return check_committed()
 
 
 if __name__ == "__main__":

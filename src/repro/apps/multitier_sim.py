@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence
 from repro.core.placement import Placement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.errors import ReproError
 
 
@@ -100,7 +99,6 @@ class MultitierSimulator:
         self.topology = topology
         self.placement = placement
         self.cloud = cloud
-        self.resolver = PathResolver(cloud)
         self.hop_cost_us = hop_cost_us
         self.tiers = (
             [list(t) for t in tiers] if tiers is not None else self._infer()
@@ -150,11 +148,9 @@ class MultitierSimulator:
         for combo in paths:
             hops = 0
             for upper, lower in zip(combo, combo[1:]):
-                hops += len(
-                    self.resolver.path(
-                        self.placement.host_of(upper),
-                        self.placement.host_of(lower),
-                    )
+                hops += self.cloud.hop_count(
+                    self.placement.host_of(upper),
+                    self.placement.host_of(lower),
                 )
             # responses retrace the path
             hop_counts.append(2 * hops)
@@ -173,7 +169,7 @@ class MultitierSimulator:
         reserved: Dict[int, float] = {}
         colocated = 0
         for link in self.topology.links:
-            path = self.resolver.path(
+            path = self.cloud.path(
                 self.placement.host_of(link.a),
                 self.placement.host_of(link.b),
             )

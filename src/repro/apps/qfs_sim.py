@@ -31,7 +31,6 @@ from typing import Dict, List, Tuple
 from repro.core.placement import Placement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.errors import ReproError
 
 
@@ -84,7 +83,6 @@ class QFSBenchmark:
         self.topology = topology
         self.placement = placement
         self.cloud = cloud
-        self.resolver = PathResolver(cloud)
         self.chunk_servers = sorted(
             name
             for name, node in topology.nodes.items()
@@ -138,13 +136,13 @@ class QFSBenchmark:
         traffic: Dict[int, float] = {}
         reserved: Dict[int, float] = {}
         for link in self.topology.links:
-            path = self.resolver.path(
+            path = self.cloud.path(
                 self.placement.host_of(link.a), self.placement.host_of(link.b)
             )
             for idx in path:
                 reserved[idx] = reserved.get(idx, 0.0) + link.bw_mbps
         for a, b, mbps in flows:
-            path = self.resolver.path(
+            path = self.cloud.path(
                 self.placement.host_of(a), self.placement.host_of(b)
             )
             for idx in path:
@@ -169,7 +167,7 @@ class QFSBenchmark:
         streams = 0.0
         for server in self.chunk_servers:
             rate = self._link_bw("client", server)
-            path = self.resolver.path(
+            path = self.cloud.path(
                 self.placement.host_of("client"),
                 self.placement.host_of(server),
             )

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.base import PlacementResult
 from repro.core.scheduler import make_algorithm
+from repro.sim.metrics import MeasurementRow
 from repro.sim.scenarios import (
     Scenario,
     mesh_scenario,
@@ -314,6 +315,28 @@ def run_suite(
     ]
 
 
+def parallel_sweep_rows(
+    sizes: Sequence[int],
+    algorithms: Sequence[str],
+    seeds: Sequence[int],
+    deadline_s: Optional[float] = None,
+    workers: int = 1,
+) -> List[MeasurementRow]:
+    """The aggregated multitier sweep rows that
+    :func:`parallel_sweep_benchmark` fingerprints, at one worker count."""
+    from repro.sim.runner import sweep
+
+    return sweep(
+        multitier_scenario(heterogeneous=True),
+        algorithms,
+        sizes,
+        seeds=seeds,
+        aggregate=True,
+        deadline_s=deadline_s,
+        workers=workers,
+    )
+
+
 def parallel_sweep_benchmark(
     workers: int = 4,
     sizes: Sequence[int] = (10, 20, 30, 40, 50),
@@ -339,24 +362,13 @@ def parallel_sweep_benchmark(
     not of the pool.
     """
     from repro.sim.metrics import rows_fingerprint
-    from repro.sim.runner import sweep
-    from repro.sim.scenarios import multitier_scenario
 
-    scenario = multitier_scenario(heterogeneous=True)
     walls: Dict[int, float] = {}
     fingerprints: Dict[int, str] = {}
     row_counts: Dict[int, int] = {}
     for n in (1, workers):
         started = time.perf_counter()
-        rows = sweep(
-            scenario,
-            algorithms,
-            sizes,
-            seeds=seeds,
-            aggregate=True,
-            deadline_s=deadline_s,
-            workers=n,
-        )
+        rows = parallel_sweep_rows(sizes, algorithms, seeds, deadline_s, n)
         walls[n] = time.perf_counter() - started
         fingerprints[n] = rows_fingerprint(rows)
         row_counts[n] = len(rows)

@@ -43,7 +43,6 @@ from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 
@@ -234,8 +233,7 @@ class BAStar(PlacementAlgorithm):
         objective: Objective,
         pinned: Dict[str, Tuple[int, Optional[int]]],
     ) -> PlacementResult:
-        resolver = PathResolver.for_cloud(cloud)
-        root = PartialPlacement(topology, state, resolver)
+        root = PartialPlacement(topology, state)
         stats = SearchStats()
         reason = topology_obviously_infeasible(topology, root)
         if reason is not None:
@@ -245,14 +243,10 @@ class BAStar(PlacementAlgorithm):
         # the literal paper estimate drives the EG bound runs, while the
         # relaxed admissible variant orders and bounds the A* search so it
         # can explore below -- and improve on -- EG's placement.
-        bound_estimator = LowerBoundEstimator(
-            cloud, self.greedy_config.estimator, resolver=resolver
-        )
+        bound_estimator = LowerBoundEstimator(cloud, self.greedy_config.estimator)
         if self.ordering == "admissible":
             estimator = LowerBoundEstimator(
-                cloud,
-                self.greedy_config.estimator.admissible(),
-                resolver=resolver,
+                cloud, self.greedy_config.estimator.admissible()
             )
         else:
             estimator = bound_estimator

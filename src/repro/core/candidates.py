@@ -135,15 +135,12 @@ def _distance_signatures(
 ) -> Callable[[int], Tuple[int, ...]]:
     """Factory for per-host distance signatures to all placed hosts.
 
-    Pulls one cached distance row per distinct placed host from the shared
-    :class:`~repro.datacenter.network.PathResolver`, so the per-candidate
-    signature is plain list indexing instead of a pairwise distance call
-    per placed host.
+    Pulls one cached distance row per distinct placed host from the
+    cloud, so the per-candidate signature is plain list indexing instead
+    of a pairwise distance call per placed host.
     """
-    resolver = partial.resolver
-    rows = [
-        resolver.distance_row(p) for p in sorted(partial.placed_hosts())
-    ]
+    distance_row = partial.state.cloud.distance_row
+    rows = [distance_row(p) for p in sorted(partial.placed_hosts())]
 
     def signature(host: int) -> Tuple[int, ...]:
         return tuple(row[host] for row in rows)

@@ -78,7 +78,7 @@ def bandwidth_demand(
         assigned = partial.assignments.get(neighbor)
         if assigned is None:
             continue
-        for link in partial.resolver.path(host, assigned.host):
+        for link in partial.state.cloud.path(host, assigned.host):
             demand[link] = demand.get(link, 0.0) + bw_mbps
     return demand
 
@@ -113,7 +113,7 @@ def latency_ok(
         link = topology.link_between(node_name, neighbor)
         if link is None or link.max_hops is None:
             continue
-        if len(partial.resolver.path(host, assigned.host)) > link.max_hops:
+        if partial.state.cloud.hop_count(host, assigned.host) > link.max_hops:
             return False
     return True
 
@@ -173,7 +173,7 @@ class NodeConstraintContext:
         """Equivalent of :func:`latency_ok` for this node."""
         if not self.hop_limits:
             return True
-        hop_count = self.partial.resolver.hop_count
+        hop_count = self.partial.state.cloud.hop_count
         return all(
             hop_count(host, neighbor_host) <= max_hops
             for neighbor_host, max_hops in self.hop_limits
@@ -183,7 +183,7 @@ class NodeConstraintContext:
         """Equivalent of :func:`bandwidth_ok` for this node."""
         if not self.flows:
             return True
-        path = self.partial.resolver.path
+        path = self.partial.state.cloud.path
         demand: Dict[int, float] = {}
         for neighbor_host, bw_mbps in self.flows:
             for link in path(host, neighbor_host):

@@ -41,7 +41,6 @@ from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 
@@ -147,7 +146,6 @@ def most_free_nic_tie(
 def greedy_with_restarts(
     topology: ApplicationTopology,
     state: DataCenterState,
-    resolver: PathResolver,
     objective: Objective,
     estimator: LowerBoundEstimator,
     config: GreedyConfig,
@@ -171,7 +169,7 @@ def greedy_with_restarts(
     for attempt, strategy in enumerate(strategies):
         order, tie_factory = strategy[0], strategy[1]
         scoring = strategy[2] if len(strategy) > 2 else objective
-        partial = PartialPlacement(topology, state, resolver)
+        partial = PartialPlacement(topology, state)
         apply_pinned(partial, pinned)
         tie_key = tie_factory(partial) if tie_factory is not None else None
         if rec.enabled and attempt > 0:
@@ -198,12 +196,12 @@ def _immediate_cost(
     target: CandidateTarget,
 ) -> float:
     """Cheap proxy: objective delta from placing only this node."""
-    resolver = partial.resolver
+    hop_count = partial.state.cloud.hop_count
     delta_bw = 0.0
     for neighbor, bw in partial.topology.neighbors(node_name):
         assigned = partial.assignments.get(neighbor)
         if assigned is not None and bw > 0:
-            delta_bw += bw * len(resolver.path(target.host, assigned.host))
+            delta_bw += bw * hop_count(target.host, assigned.host)
     activation = 0 if partial.state.host_is_active(target.host) else 1
     return objective.score(partial.ubw + delta_bw, partial.uc + activation)
 
@@ -266,13 +264,12 @@ class EG(PlacementAlgorithm):
         objective: Objective,
         pinned: Dict[str, Tuple[int, Optional[int]]],
     ) -> PlacementResult:
-        resolver = PathResolver.for_cloud(cloud)
-        probe = PartialPlacement(topology, state, resolver)
+        probe = PartialPlacement(topology, state)
         stats = SearchStats()
         reason = topology_obviously_infeasible(topology, probe)
         if reason is not None:
             raise PlacementError(reason)
-        estimator = LowerBoundEstimator(cloud, self.config.estimator, resolver=resolver)
+        estimator = LowerBoundEstimator(cloud, self.config.estimator)
         weight_order = [
             n for n in sort_nodes_by_relative_weight(topology) if n not in pinned
         ]
@@ -283,7 +280,6 @@ class EG(PlacementAlgorithm):
             partial = greedy_with_restarts(
                 topology,
                 state,
-                resolver,
                 objective,
                 estimator,
                 self.config,
@@ -547,8 +543,7 @@ class EGC(PlacementAlgorithm):
         objective: Objective,
         pinned: Dict[str, Tuple[int, Optional[int]]],
     ) -> PlacementResult:
-        resolver = PathResolver.for_cloud(cloud)
-        probe = PartialPlacement(topology, state, resolver)
+        probe = PartialPlacement(topology, state)
         stats = SearchStats()
         reason = topology_obviously_infeasible(topology, probe)
         if reason is not None:
@@ -559,7 +554,7 @@ class EGC(PlacementAlgorithm):
         ]
         first_error: Optional[PlacementError] = None
         for attempt, order in enumerate(orders):
-            partial = PartialPlacement(topology, state, resolver)
+            partial = PartialPlacement(topology, state)
             apply_pinned(partial, pinned)
 
             def tightest_fit_first(node_name: str) -> List[CandidateTarget]:
@@ -627,13 +622,12 @@ class EGBW(PlacementAlgorithm):
         objective: Objective,
         pinned: Dict[str, Tuple[int, Optional[int]]],
     ) -> PlacementResult:
-        resolver = PathResolver.for_cloud(cloud)
-        probe = PartialPlacement(topology, state, resolver)
+        probe = PartialPlacement(topology, state)
         stats = SearchStats()
         reason = topology_obviously_infeasible(topology, probe)
         if reason is not None:
             raise PlacementError(reason)
-        estimator = LowerBoundEstimator(cloud, self.config.estimator, resolver=resolver)
+        estimator = LowerBoundEstimator(cloud, self.config.estimator)
         bw_only = Objective(
             theta_bw=1.0,
             theta_c=0.0,
@@ -649,7 +643,6 @@ class EGBW(PlacementAlgorithm):
         partial = greedy_with_restarts(
             topology,
             state,
-            resolver,
             bw_only,
             estimator,
             self.config,

@@ -38,7 +38,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology, Node
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.errors import DataCenterError
 
 
@@ -102,21 +101,15 @@ class LowerBoundEstimator:
     Args:
         cloud: the physical structure (for distances and hop minima).
         config: truncation knobs.
-        resolver: shared memoizing path/hop-count resolver. Defaults to
-            the cloud's shared instance; pass the search's resolver so the
-            estimator, candidate generation, and placement bookkeeping all
-            reuse one hop-count cache.
     """
 
     def __init__(
         self,
         cloud: Cloud,
         config: Optional[EstimatorConfig] = None,
-        resolver: Optional[PathResolver] = None,
     ) -> None:
         self.cloud = cloud
         self.config = config or EstimatorConfig()
-        self.resolver = resolver or PathResolver.for_cloud(cloud)
         self._imaginary_cpu = max(h.cpu_cores for h in cloud.hosts)
         self._imaginary_mem = max(h.mem_gb for h in cloud.hosts)
         self._imaginary_disk = max(
@@ -507,7 +500,7 @@ class LowerBoundEstimator:
         the ``max_nodes`` most bandwidth-hungry remaining nodes.
         """
         topology = partial.topology
-        hop_count = self.resolver.hop_count
+        hop_count = self.cloud.hop_count
         total = 0.0
         for link in topology.links:
             if link.bw_mbps <= 0:

@@ -68,7 +68,7 @@ from typing import (
 )
 from weakref import WeakKeyDictionary
 
-from repro.datacenter.model import Cloud
+from repro.datacenter.model import Cloud, Level
 from repro.datacenter.resources import EPSILON
 from repro.datacenter.state import DataCenterState
 
@@ -173,14 +173,14 @@ _SIG_PAD = -(2**50)
 
 
 class CloudArrays:
-    """Immutable arrays describing one cloud's structure.
+    """NumPy view of one cloud's topology index (:class:`Cloud`).
 
     Cached per :class:`~repro.datacenter.model.Cloud` (weakly, and holding
     no reference back to the cloud, so a dropped cloud is freed). Provides
     the vectorized twins of ``distance`` / ``separated_at`` /
     ``hop_count`` / ``uplink_chain``:
 
-    * ``unit_ids(level)`` -- per-host unit id at a separation level; two
+    * ``unit_ids[level]`` -- per-host unit id at a separation level; two
       hosts are separated at ``level`` iff their ids differ.
     * ``steps_at_dist[h, d]`` -- one-sided link count for host ``h`` to
       reach a switch whose scope covers separation distance ``d``, so
@@ -199,40 +199,14 @@ class CloudArrays:
         return arrays
 
     def __init__(self, cloud: Cloud) -> None:
-        num_hosts = len(cloud.hosts)
-        ancestors = cloud._ancestors
-        rack_id = np.array([a[0] for a in ancestors], dtype=np.int64)
-        # implicit-pod keys are tuples; map them to dense ints (equal
-        # tuples <=> equal ints, which is all separated_at needs)
-        pod_key_ids: Dict[Any, int] = {}
-        pod_id = np.empty(num_hosts, dtype=np.int64)
-        for h, (_rack, pod_key, _dc) in enumerate(ancestors):
-            pod_id[h] = pod_key_ids.setdefault(pod_key, len(pod_key_ids))
-        dc_id = np.array([a[2] for a in ancestors], dtype=np.int64)
-        #: per-level unit ids: HOST, RACK, POD, DATACENTER
-        self.unit_id_arrays = (
-            np.arange(num_hosts, dtype=np.int64),
-            rack_id,
-            pod_id,
-            dc_id,
-        )
-        chains = cloud._chains
+        #: (level, host) unit ids: HOST, RACK, POD, DATACENTER rows
+        self.unit_ids = np.asarray(cloud.unit_ids, dtype=np.int64)
+        self.steps_at_dist = np.asarray(cloud.steps_at_dist, dtype=np.int64)
+        chains = [cloud.uplink_chain(h) for h in range(cloud.num_hosts)]
         max_chain = max(len(c) for c in chains)
         self.chain_len = np.array([len(c) for c in chains], dtype=np.int64)
-        self.chain_matrix = np.full((num_hosts, max_chain), -1, dtype=np.int64)
-        for h, chain in enumerate(chains):
-            for k, (link, _switch) in enumerate(chain):
-                self.chain_matrix[h, k] = link
-        # steps_at_dist[h, 0] = 0; unrealizable distances keep the 0
-        # sentinel -- they never occur between two real hosts of one cloud.
-        self.steps_at_dist = np.zeros((num_hosts, 5), dtype=np.int64)
-        for h, chain in enumerate(chains):
-            for dist in range(1, 5):
-                steps = Cloud._steps_for_distance(chain, dist)
-                if steps is not None:
-                    self.steps_at_dist[h, dist] = steps
-        self.host_link = np.array(
-            [h.link_index for h in cloud.hosts], dtype=np.int64
+        self.chain_matrix = np.array(
+            [c + (-1,) * (max_chain - len(c)) for c in chains], dtype=np.int64
         )
         self.disk_host = np.array(
             [d.host.index for d in cloud.disks], dtype=np.int64
@@ -243,47 +217,33 @@ class CloudArrays:
         self._steps_other_rows: Dict[int, Any] = {}
         self._distance_matrix: Any = None
 
+    def _distance(self, hosts_a: Any, hosts_b: Any) -> Any:
+        """``distance`` between two broadcast host-index arrays (int8):
+        1 + the highest level whose unit ids differ (host ids are the
+        host indices themselves)."""
+        dist = (hosts_a != hosts_b).astype(np.int8)
+        for level in range(Level.RACK, len(self.unit_ids)):
+            ids = self.unit_ids[level]
+            dist[ids[hosts_a] != ids[hosts_b]] = level + 1
+        return dist
+
     @property
     def distance_matrix(self) -> Any:
         """Full (H, H) separation-distance matrix (built lazily)."""
         if self._distance_matrix is None:
-            host_id, rack_id, pod_id, dc_id = self.unit_id_arrays
-            matrix = np.where(
-                dc_id[:, None] != dc_id[None, :],
-                4,
-                np.where(
-                    pod_id[:, None] != pod_id[None, :],
-                    3,
-                    np.where(
-                        rack_id[:, None] != rack_id[None, :],
-                        2,
-                        np.where(host_id[:, None] != host_id[None, :], 1, 0),
-                    ),
-                ),
-            ).astype(np.int64)
+            hosts = np.arange(len(self.chain_len))
+            matrix = self._distance(hosts[:, None], hosts[None, :])
+            matrix = matrix.astype(np.int64)
             matrix.setflags(write=False)
             self._distance_matrix = matrix
         return self._distance_matrix
-
-    def unit_ids(self, level: int) -> Any:
-        """Per-host unit ids at separation level 0..3."""
-        return self.unit_id_arrays[level]
 
     def distance_row(self, host: int) -> Any:
         """``distance(h, host)`` for every host ``h`` (int64 array)."""
         row = self._distance_rows.get(host)
         if row is None:
-            _, rack_id, pod_id, dc_id = self.unit_id_arrays
-            row = np.where(
-                dc_id != dc_id[host],
-                4,
-                np.where(
-                    pod_id != pod_id[host],
-                    3,
-                    np.where(rack_id != rack_id[host], 2, 1),
-                ),
-            ).astype(np.int64)
-            row[host] = 0
+            hosts = np.arange(len(self.chain_len))
+            row = self._distance(hosts, host).astype(np.int64)
             row.setflags(write=False)
             self._distance_rows[host] = row
         return row
@@ -325,20 +285,7 @@ class CloudArrays:
 
     def pair_hops(self, hosts_a: Any, hosts_b: Any) -> Any:
         """Element-wise ``hop_count(a, b)`` over two host-index arrays."""
-        _, rack_id, pod_id, dc_id = self.unit_id_arrays
-        dist = np.where(
-            dc_id[hosts_a] != dc_id[hosts_b],
-            4,
-            np.where(
-                pod_id[hosts_a] != pod_id[hosts_b],
-                3,
-                np.where(
-                    rack_id[hosts_a] != rack_id[hosts_b],
-                    2,
-                    np.where(hosts_a != hosts_b, 1, 0),
-                ),
-            ),
-        )
+        dist = self._distance(hosts_a, hosts_b)
         return (
             self.steps_at_dist[hosts_a, dist]
             + self.steps_at_dist[hosts_b, dist]
@@ -500,7 +447,7 @@ def candidate_targets_numpy(
     else:
         mask = np.ones(num_hosts, dtype=bool)
     for member_host, level in ctx.separations:
-        ids = arrays.unit_ids(int(level))
+        ids = arrays.unit_ids[int(level)]
         mask = mask & (ids != ids[member_host])
     for nbr_host, max_hops in ctx.hop_limits:
         mask = mask & (arrays.hops_row(nbr_host) <= max_hops)
@@ -1226,11 +1173,11 @@ class _EstimateBatch:
         ).astype(np.int64)
 
     def _ids_grid(self, level: int) -> Any:
-        """``unit_ids(level)`` gathered over ``t_host`` (static per batch:
+        """``unit_ids[level]`` gathered over ``t_host`` (static per batch:
         fresh imaginary columns never write ``t_host``)."""
         grid = self._ids_grids.get(level)
         if grid is None:
-            grid = self.arrays.unit_ids(level)[np.maximum(self.t_host, 0)]
+            grid = self.arrays.unit_ids[level][np.maximum(self.t_host, 0)]
             self._ids_grids[level] = grid
         return grid
 
@@ -1284,7 +1231,7 @@ class _EstimateBatch:
         dynamic: List[Tuple[int, Any, str]] = []
         for zone in zones:
             level = int(zone.level)
-            ids = self.arrays.unit_ids(level)
+            ids = self.arrays.unit_ids[level]
             for member in zone.members:
                 if member == name:
                     continue

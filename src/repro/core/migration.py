@@ -35,7 +35,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro import obs
 from repro.core.placement import Placement
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import CapacityError, PlacementError
 
@@ -89,12 +88,10 @@ class _Simulator:
         self,
         topology: ApplicationTopology,
         state: DataCenterState,
-        resolver: PathResolver,
         placement: Placement,
     ) -> None:
         self.topology = topology
         self.state = state
-        self.resolver = resolver
         self.location: Dict[str, Tuple[int, Optional[int]]] = {
             name: (a.host, a.disk)
             for name, a in placement.assignments.items()
@@ -107,7 +104,7 @@ class _Simulator:
             if bw <= 0:
                 continue
             nbr_host, _ = self.location[neighbor]
-            yield self.resolver.path(host, nbr_host), bw
+            yield self.state.cloud.path(host, nbr_host), bw
 
     def try_move(
         self, node: str, to_host: int, to_disk: Optional[int]
@@ -218,8 +215,7 @@ def plan_migration(
         raise PlacementError(
             f"new placement does not cover nodes: {sorted(missing)}"
         )
-    resolver = PathResolver(state.cloud)
-    sim = _Simulator(topology, state.clone(), resolver, old_placement)
+    sim = _Simulator(topology, state.clone(), old_placement)
     plan = MigrationPlan()
     pending = sorted(
         name
@@ -284,8 +280,7 @@ def apply_plan(
 ) -> None:
     """Execute a plan against a live state (with the old placement
     committed), move by move; raises mid-way only if the plan is stale."""
-    resolver = PathResolver(state.cloud)
-    sim = _Simulator(topology, state, resolver, old_placement)
+    sim = _Simulator(topology, state, old_placement)
     rec = obs.get_recorder()
     for step in plan.steps:
         if not sim.try_move(step.node, step.to_host, step.to_disk):

@@ -572,7 +572,7 @@ def remove_vms_from_tier(
             if ostro.injector is not None:
                 ostro.injector.before_api_call("ostro", "scale_in")
             for link in released_links:
-                path = ostro.resolver.path(
+                path = ostro.cloud.path(
                     placement.host_of(link.a), placement.host_of(link.b)
                 )
                 ostro.state.release_path(path, link.bw_mbps)
@@ -605,7 +605,7 @@ def remove_vms_from_tier(
 
     released_ubw = 0.0
     for link in released_links:
-        path = ostro.resolver.path(
+        path = ostro.cloud.path(
             placement.host_of(link.a), placement.host_of(link.b)
         )
         released_ubw += link.bw_mbps * len(path)

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.kernel import HAVE_NUMPY, _forced_distance
-from repro.datacenter.model import Cloud
+from repro.datacenter.model import Cloud, Level
+from repro.errors import DataCenterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.objective import Objective
@@ -98,26 +99,12 @@ def _min_hops_at_distance(cloud: Cloud) -> List[float]:
     ``d=4`` in a single-datacenter cloud) is ``inf``: that relationship
     cannot occur, so it must never be the minimum of a cost chain.
     """
-    from repro.core.kernel import CloudArrays
-
-    if HAVE_NUMPY:
-        steps = CloudArrays.for_cloud(cloud).steps_at_dist
-        g = [0.0]
-        for dist in range(1, 5):
-            col = steps[:, dist]
-            realizable = col[col > 0]  # 0 is the unrealizable sentinel
-            g.append(
-                float(2 * realizable.min()) if realizable.size else math.inf
-            )
-        return g
     g = [0.0]
     for dist in range(1, 5):
-        best = math.inf
-        for chain in cloud._chains:
-            steps_d = Cloud._steps_for_distance(chain, dist)
-            if steps_d is not None:
-                best = min(best, steps_d)
-        g.append(best if math.isinf(best) else 2.0 * best)
+        try:
+            g.append(float(cloud.min_hops_for_distance(dist)))
+        except DataCenterError:
+            g.append(math.inf)
     return g
 
 
@@ -275,9 +262,9 @@ def _closed_form(
     already-active hosts' free capacity, per resource.
     """
     g = _min_hops_at_distance(cloud)
-    num_dcs = len({c[2] for c in cloud._ancestors})
-    num_pods = len({c[1] for c in cloud._ancestors})
-    num_racks = len({c[0] for c in cloud._ancestors})
+    num_dcs = len(set(cloud.unit_ids[Level.DATACENTER]))
+    num_pods = len(set(cloud.unit_ids[Level.POD]))
+    num_racks = len(set(cloud.unit_ids[Level.RACK]))
     demands = _node_demands(topology, state)
     host_max = _host_maxima(cloud, state)
     for dem in demands.values():
@@ -410,13 +397,10 @@ def _milp_bound(
     """Rack-granular MILP relaxation; returns (score_lb, solver, status)."""
     import numpy as np
 
-    from repro.core.kernel import CloudArrays
-
-    arrays = CloudArrays.for_cloud(cloud)
-    rack_of_host = arrays.unit_id_arrays[1]
-    pod_of_host = arrays.unit_id_arrays[2]
-    dc_of_host = arrays.unit_id_arrays[3]
-    racks = sorted({int(r) for r in rack_of_host})
+    rack_of_host = cloud.unit_ids[Level.RACK]
+    pod_of_host = cloud.unit_ids[Level.POD]
+    dc_of_host = cloud.unit_ids[Level.DATACENTER]
+    racks = sorted(set(rack_of_host))
     rack_index = {r: i for i, r in enumerate(racks)}
     num_r = len(racks)
     # rack -> pod / dc (unit ids nest, so any member host decides)
@@ -424,10 +408,10 @@ def _milp_bound(
     dc_of_rack = [0] * num_r
     hosts_by_rack: List[List[int]] = [[] for _ in range(num_r)]
     for h in range(cloud.num_hosts):
-        ri = rack_index[int(rack_of_host[h])]
+        ri = rack_index[rack_of_host[h]]
         hosts_by_rack[ri].append(h)
-        pod_of_rack[ri] = int(pod_of_host[h])
-        dc_of_rack[ri] = int(dc_of_host[h])
+        pod_of_rack[ri] = pod_of_host[h]
+        dc_of_rack[ri] = dc_of_host[h]
     pods = sorted(set(pod_of_rack))
     num_p = len(pods)
     num_d = len(set(dc_of_rack))

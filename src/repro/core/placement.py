@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import CapacityError, PlacementError
 
@@ -98,7 +97,6 @@ class PartialPlacement:
         topology: the application being placed.
         state: availability state to build on; cloned unless ``own_state``
             is True (search code passes pre-cloned states to avoid copies).
-        resolver: shared path resolver (memoized per cloud).
         own_state: when True, ``state`` is adopted without cloning.
     """
 
@@ -106,12 +104,10 @@ class PartialPlacement:
         self,
         topology: ApplicationTopology,
         state: DataCenterState,
-        resolver: PathResolver,
         own_state: bool = False,
     ) -> None:
         self.topology = topology
         self.state = state if own_state else state.clone()
-        self.resolver = resolver
         self.assignments: Dict[str, Assignment] = {}
         self.ubw: float = 0.0
         self.newly_activated: Set[int] = set()
@@ -194,7 +190,7 @@ class PartialPlacement:
                 placed = self.assignments.get(neighbor)
                 if placed is None or bw_mbps <= 0:
                     continue
-                path = self.resolver.path(host, placed.host)
+                path = state.cloud.path(host, placed.host)
                 for link in path:
                     if link not in touched_links:
                         touched_links.add(link)
@@ -287,7 +283,6 @@ class PartialPlacement:
         copy = PartialPlacement.__new__(PartialPlacement)
         copy.topology = self.topology
         copy.state = self.state.clone()
-        copy.resolver = self.resolver
         copy.assignments = dict(self.assignments)
         copy.ubw = self.ubw
         copy.newly_activated = set(self.newly_activated)

@@ -27,7 +27,6 @@ from repro.core.objective import Objective
 from repro.core.placement import Placement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError, ReproError
 
@@ -127,7 +126,6 @@ class Ostro:
         self.theta_bw = theta_bw
         self.theta_c = theta_c
         self.greedy_config = greedy_config or GreedyConfig()
-        self.resolver = PathResolver(cloud)
         self.applications: Dict[str, DeployedApplication] = {}
         self.injector = injector
         self.retry_policy = retry_policy
@@ -254,7 +252,7 @@ class Ostro:
                     else:
                         self.state.place_volume(assignment.disk, node.size_gb)
                 for link in topology.links:
-                    path = self.resolver.path(
+                    path = self.cloud.path(
                         placement.host_of(link.a), placement.host_of(link.b)
                     )
                     self.state.reserve_path(path, link.bw_mbps)
@@ -274,7 +272,7 @@ class Ostro:
             raise PlacementError(f"unknown application: {app_name!r}")
         topology, placement = deployed.topology, deployed.placement
         for link in topology.links:
-            path = self.resolver.path(
+            path = self.cloud.path(
                 placement.host_of(link.a), placement.host_of(link.b)
             )
             self.state.release_path(path, link.bw_mbps)
@@ -425,7 +423,7 @@ class Ostro:
         matching how a fresh search would score keeping everything put)."""
         ubw = 0.0
         for link in topology.links:
-            path = self.resolver.path(
+            path = self.cloud.path(
                 placement.host_of(link.a), placement.host_of(link.b)
             )
             ubw += link.bw_mbps * len(path)

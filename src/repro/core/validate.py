@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, List
 from repro.core.placement import Placement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
-from repro.datacenter.network import PathResolver
 from repro.datacenter.resources import EPSILON
 from repro.datacenter.state import DataCenterState
 from repro.errors import CapacityError
@@ -91,9 +90,8 @@ def placement_violations(
             violations.append(f"capacity: {exc}")
 
     # bandwidth, cumulatively over all links
-    resolver = PathResolver(cloud)
     for link in topology.links:
-        path = resolver.path(
+        path = cloud.path(
             placement.host_of(link.a), placement.host_of(link.b)
         )
         try:
@@ -184,7 +182,7 @@ def conservation_violations(ostro: "Ostro") -> List[str]:
                 placed_disk[assignment.disk] += node.size_gb
                 placed_units[cloud.disks[assignment.disk].host.index] += 1
         for link in topology.links:
-            path = ostro.resolver.path(
+            path = ostro.cloud.path(
                 placement.host_of(link.a), placement.host_of(link.b)
             )
             for index in path:

@@ -4,9 +4,8 @@ This subpackage models the physical side of the placement problem:
 
 * :mod:`repro.datacenter.resources` -- resource vectors (vCPU / memory / disk).
 * :mod:`repro.datacenter.model` -- the static structure: disks, hosts, racks,
-  pods, data centers, and a :class:`~repro.datacenter.model.Cloud` root.
-* :mod:`repro.datacenter.network` -- network paths between hosts and the
-  hop-count / separation-level arithmetic used by the objective function.
+  pods, data centers, and a :class:`~repro.datacenter.model.Cloud` root
+  whose topology index answers distance, path and hop-count queries.
 * :mod:`repro.datacenter.state` -- the mutable availability state
   (free CPU/memory/disk/bandwidth) with cheap cloning for search.
 * :mod:`repro.datacenter.builder` -- constructors for the paper's testbed and
@@ -21,7 +20,6 @@ from repro.datacenter.builder import (
     build_testbed,
 )
 from repro.datacenter.model import Cloud, DataCenter, Disk, Host, Level, Pod, Rack
-from repro.datacenter.network import PathResolver
 from repro.datacenter.resources import ResourceVector
 from repro.datacenter.serialize import (
     cloud_from_dict,
@@ -38,7 +36,6 @@ __all__ = [
     "Disk",
     "Host",
     "Level",
-    "PathResolver",
     "Pod",
     "Rack",
     "ResourceVector",

@@ -26,6 +26,25 @@ different hosts, 2 = same pod different racks, 3 = same data center
 different pods, 4 = different data centers). In a pod-less data center each
 rack connects straight to the root, so two hosts in different racks are
 already separated at the pod level: each rack acts as its own implicit pod.
+
+Topology index
+--------------
+
+:class:`Cloud` answers every distance, path and hop-count question from
+one per-host level table built while indexing:
+
+* ``unit_ids[level][host]`` -- dense ids of each host's host, rack, pod and
+  data center (a pod-less rack gets its own pod id), so two hosts are
+  separated at ``level`` iff their ids there differ, and their distance is
+  1 + the highest level whose ids differ;
+* ``steps_at_dist[host][d]`` -- the links from the host up to the lowest
+  switch covering distance ``d``, from one pass over its uplink chain with
+  each uplink tagged by the highest distance its upper switch covers. A
+  pair's hop count is ``steps_at_dist[a][d] + steps_at_dist[b][d]`` and its
+  path is those two uplink prefixes, the lower-indexed host's first.
+
+``max_hop_count`` and ``min_hops_for_distance`` are constants of the table;
+the numpy kernel's ``CloudArrays`` is an array view of it.
 """
 
 from __future__ import annotations
@@ -178,9 +197,18 @@ class Cloud:
     """The root container: one or more data centers plus global indexing.
 
     Construction walks the hierarchy once, assigns dense integer indices to
-    hosts, disks, racks, pods, data centers and network links, and wires up
-    back-references. All placement algorithms address elements by these
+    hosts, disks, racks, pods, data centers and network links, wires up
+    back-references, and builds the topology index (see the module
+    docstring). All placement algorithms address elements by these
     indices; names are for humans and templates.
+
+    Attributes:
+        unit_ids: ``unit_ids[level][host]`` -- dense id of the host's unit
+            at each :class:`Level` (host, rack, pod, data center). A
+            pod-less rack has its own pod id.
+        steps_at_dist: ``steps_at_dist[host][d]`` -- links from the host up
+            to the lowest switch covering separation distance ``d``
+            (0..4); 0 when no switch on its chain covers ``d``.
     """
 
     def __init__(self, datacenters: Sequence[DataCenter]) -> None:
@@ -197,22 +225,11 @@ class Cloud:
         self.link_names: List[str] = []
         self._hosts_by_name: Dict[str, Host] = {}
         self._disks_by_name: Dict[str, Disk] = {}
-        # Per-host uplink chain: tuple of (link_index, switch_key) pairs from
-        # the host NIC up to the cloud root. switch_key identifies the switch
-        # reached after traversing that link.
-        self._chains: List[Tuple[Tuple[int, Tuple[str, int]], ...]] = []
-        # Per-host ancestor keys for distance computation:
-        # (rack_index, implicit_pod_key, dc_index)
-        self._ancestors: List[Tuple[int, Tuple[str, int], int]] = []
+        self.unit_ids: List[List[int]] = [[] for _ in Level]
+        self.steps_at_dist: List[Tuple[int, ...]] = []
+        # per-host link indices from the NIC up to the top of the hierarchy
+        self._chains: List[Tuple[int, ...]] = []
         self._index()
-        # Link-only view of each chain, precomputed once: uplink_chain()
-        # sits inside the candidate-signature hot loop.
-        self._uplink_chains: List[Tuple[int, ...]] = [
-            tuple(link for link, _ in chain) for chain in self._chains
-        ]
-        # distance -> min_hops_for_distance's one-sided step count (None:
-        # not realisable); the structure never changes after indexing
-        self._min_steps: Dict[int, Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # indexing
@@ -225,6 +242,7 @@ class Cloud:
 
     def _index(self) -> None:
         multi_dc = len(self.datacenters) > 1
+        pod_unit = 0  # one pod unit per pod and per pod-less rack
         for dc_i, dc in enumerate(self.datacenters):
             dc.index = dc_i
             if multi_dc:
@@ -239,13 +257,42 @@ class Cloud:
                     pod.uplink_bw_mbps, f"pod-uplink:{pod.name}"
                 )
                 for rack in pod.racks:
-                    self._index_rack(rack, dc, pod)
+                    self._index_rack(rack, dc, pod, pod_unit)
+                pod_unit += 1
             for rack in dc.racks:
-                self._index_rack(rack, dc, None)
+                self._index_rack(rack, dc, None, pod_unit)
+                pod_unit += 1
         if not self.hosts:
             raise DataCenterError("cloud contains no hosts")
+        self._max_hops = 2 * max(len(chain) for chain in self._chains)
+        # fewest one-sided steps over all hosts per distance (None: no
+        # host's chain reaches a switch covering it)
+        self._min_steps: List[Optional[int]] = [
+            min((s[dist] for s in self.steps_at_dist if s[dist]), default=None)
+            for dist in range(5)
+        ]
+        # One int per host packs its unit ids, ``width`` bits per level
+        # with the host id lowest, so the bit length of ``code_a ^ code_b``
+        # falls in the field of the coarsest level whose ids differ:
+        # distance = 1 + that level, read from ``_dist_by_bits``.
+        width = max(max(ids) for ids in self.unit_ids).bit_length() or 1
+        self._codes: List[int] = [
+            sum(unit << (width * level) for level, unit in enumerate(units))
+            for units in zip(*self.unit_ids)
+        ]
+        self._dist_by_bits: List[int] = [
+            (bits + width - 1) // width for bits in range(len(Level) * width + 1)
+        ]
+        # per-host uplink prefix up to the switch covering each distance
+        self._prefixes: List[Tuple[Tuple[int, ...], ...]] = [
+            tuple(chain[:s] for s in steps)
+            for chain, steps in zip(self._chains, self.steps_at_dist)
+        ]
+        self._distance_rows: Dict[int, List[int]] = {}
 
-    def _index_rack(self, rack: Rack, dc: DataCenter, pod: Optional[Pod]) -> None:
+    def _index_rack(
+        self, rack: Rack, dc: DataCenter, pod: Optional[Pod], pod_unit: int
+    ) -> None:
         rack.datacenter = dc
         rack.pod = pod
         rack.index = len(self.racks)
@@ -254,10 +301,15 @@ class Cloud:
             rack.uplink_bw_mbps, f"tor-uplink:{rack.name}"
         )
         for host in rack.hosts:
-            self._index_host(host, rack, dc, pod)
+            self._index_host(host, rack, dc, pod, pod_unit)
 
     def _index_host(
-        self, host: Host, rack: Rack, dc: DataCenter, pod: Optional[Pod]
+        self,
+        host: Host,
+        rack: Rack,
+        dc: DataCenter,
+        pod: Optional[Pod],
+        pod_unit: int,
     ) -> None:
         if host.name in self._hosts_by_name:
             raise DataCenterError(f"duplicate host name: {host.name!r}")
@@ -273,23 +325,37 @@ class Cloud:
             disk.index = len(self.disks)
             self.disks.append(disk)
             self._disks_by_name[disk.name] = disk
-        # Uplink chain: NIC -> ToR, ToR uplink -> pod switch or DC root,
-        # [pod uplink -> DC root], [WAN uplink -> cloud root].
-        chain: List[Tuple[int, Tuple[str, int]]] = [
-            (host.link_index, ("rack", rack.index))
-        ]
+        chain, steps = self._uplinks(host, rack, pod, dc)
+        self._chains.append(chain)
+        self.steps_at_dist.append(steps)
+        units = (host.index, rack.index, pod_unit, dc.index)
+        for ids, unit in zip(self.unit_ids, units):
+            ids.append(unit)
+
+    @staticmethod
+    def _uplinks(
+        host: Host, rack: Rack, pod: Optional[Pod], dc: DataCenter
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """A host's uplink chain and its ``steps_at_dist`` row.
+
+        Each uplink is tagged with the highest distance its upper switch
+        covers: NIC -> ToR (1), ToR uplink -> pod switch (2) or data-center
+        root (3), [pod uplink -> root (3)], [WAN uplink -> cloud root (4)].
+        """
+        uplinks = [(host.link_index, 1)]
         if pod is not None:
-            chain.append((rack.link_index, ("pod", pod.index)))
-            chain.append((pod.link_index, ("dcroot", dc.index)))
-            implicit_pod_key = ("pod", pod.index)
+            uplinks += [(rack.link_index, 2), (pod.link_index, 3)]
         else:
-            chain.append((rack.link_index, ("dcroot", dc.index)))
-            # A pod-less rack acts as its own implicit pod.
-            implicit_pod_key = ("rack-as-pod", rack.index)
+            uplinks.append((rack.link_index, 3))
         if dc.link_index >= 0:
-            chain.append((dc.link_index, ("cloudroot", 0)))
-        self._chains.append(tuple(chain))
-        self._ancestors.append((rack.index, implicit_pod_key, dc.index))
+            uplinks.append((dc.link_index, 4))
+        steps = [0] * 5
+        dist = 1
+        for position, (_, covers) in enumerate(uplinks, 1):
+            while dist <= covers:
+                steps[dist] = position
+                dist += 1
+        return tuple(link for link, _ in uplinks), tuple(steps)
 
     # ------------------------------------------------------------------
     # lookups
@@ -331,47 +397,51 @@ class Cloud:
         for different data centers. In pod-less data centers different racks
         yield distance 3 (each rack is its own implicit pod).
         """
-        if host_a == host_b:
-            return 0
-        rack_a, pod_a, dc_a = self._ancestors[host_a]
-        rack_b, pod_b, dc_b = self._ancestors[host_b]
-        if dc_a != dc_b:
-            return 4
-        if pod_a != pod_b:
-            return 3
-        if rack_a != rack_b:
-            return 2
-        return 1
+        codes = self._codes
+        return self._dist_by_bits[(codes[host_a] ^ codes[host_b]).bit_length()]
+
+    def distance_row(self, host: int) -> List[int]:
+        """Distances from one host to every host, as an indexable row.
+
+        Built once per host and cached; candidate deduplication reads the
+        distance to every placed host for every feasible host, and a plain
+        list index beats a per-pair call there. Treat the row as read-only.
+        """
+        row = self._distance_rows.get(host)
+        if row is None:
+            code = self._codes[host]
+            dist_by_bits = self._dist_by_bits
+            row = self._distance_rows[host] = [
+                dist_by_bits[(code ^ other).bit_length()] for other in self._codes
+            ]
+        return row
 
     def separated_at(self, host_a: int, host_b: int, level: Level) -> bool:
         """True if two hosts satisfy a diversity requirement at ``level``."""
-        return self.distance(host_a, host_b) > int(level)
+        ids = self.unit_ids[level]
+        return ids[host_a] != ids[host_b]
 
     def path(self, host_a: int, host_b: int) -> Tuple[int, ...]:
         """Network links traversed by traffic between two hosts.
 
-        Returns a tuple of global link indices; empty when both endpoints
-        are the same host (intra-host traffic never touches the network).
+        Returns a tuple of global link indices: the lower-indexed host's
+        uplinks up to the pair's meeting switch, then the other host's.
+        Empty when both endpoints are the same host (intra-host traffic
+        never touches the network).
         """
-        if host_a == host_b:
-            return ()
-        chain_a = self._chains[host_a]
-        chain_b = self._chains[host_b]
-        # Find the lowest common switch reached by both chains.
-        reach_b = {switch: steps for steps, (_, switch) in enumerate(chain_b)}
-        for steps_a, (_, switch) in enumerate(chain_a):
-            if switch in reach_b:
-                steps_b = reach_b[switch]
-                links = [link for link, _ in chain_a[: steps_a + 1]]
-                links.extend(link for link, _ in chain_b[: steps_b + 1])
-                return tuple(links)
-        raise DataCenterError(
-            f"no network path between hosts {host_a} and {host_b}"
-        )
+        if host_a > host_b:
+            host_a, host_b = host_b, host_a
+        codes = self._codes
+        dist = self._dist_by_bits[(codes[host_a] ^ codes[host_b]).bit_length()]
+        prefixes = self._prefixes
+        return prefixes[host_a][dist] + prefixes[host_b][dist]
 
     def hop_count(self, host_a: int, host_b: int) -> int:
         """Number of links on the path between two hosts."""
-        return len(self.path(host_a, host_b))
+        codes = self._codes
+        dist = self._dist_by_bits[(codes[host_a] ^ codes[host_b]).bit_length()]
+        steps = self.steps_at_dist
+        return steps[host_a][dist] + steps[host_b][dist]
 
     def uplink_chain(self, host: int) -> Tuple[int, ...]:
         """Link indices from a host's NIC up to the top of the hierarchy.
@@ -380,7 +450,7 @@ class Cloud:
         the ToR uplink, the pod uplink (when pods exist), and the WAN
         uplink (when the cloud spans several data centers).
         """
-        return self._uplink_chains[host]
+        return self._chains[host]
 
     def max_hop_count(self) -> int:
         """Longest possible path length between any two hosts.
@@ -389,8 +459,7 @@ class Cloud:
         worst-case placement routes every flow through the top of the
         hierarchy, consuming both endpoints' full uplink chains.
         """
-        longest = max(len(chain) for chain in self._chains)
-        return 2 * longest
+        return self._max_hops
 
     def min_hops_for_distance(self, dist: int) -> int:
         """Optimistic (minimal) hop count for a given separation distance.
@@ -399,48 +468,17 @@ class Cloud:
         at a given level consume at least this many link traversals. The
         value is computed over the actual cloud structure, so pod-less data
         centers report 4 hops for distance 3 (host NIC + ToR uplink on both
-        sides) while podded ones report 6. Memoized per distance, since
-        every estimator construction asks; a distance the cloud cannot
-        realise raises :class:`DataCenterError` on every call.
+        sides) while podded ones report 6. A distance the cloud cannot
+        realise raises :class:`DataCenterError`.
         """
         if dist <= 0:
             return 0
-        if dist in self._min_steps:
-            best = self._min_steps[dist]
-        else:
-            best = self._min_steps[dist] = self._scan_min_steps(dist)
+        best = self._min_steps[dist] if dist < len(self._min_steps) else None
         if best is None:
             raise DataCenterError(
                 f"cloud cannot separate hosts at distance {dist}"
             )
         return 2 * best
-
-    def _scan_min_steps(self, dist: int) -> Optional[int]:
-        """Fewest one-sided steps, over all hosts, to a switch covering
-        ``dist`` (None when no host's chain reaches one)."""
-        best: Optional[int] = None
-        for chain in self._chains:
-            # steps needed on one side to reach a switch at/above `dist`
-            steps = self._steps_for_distance(chain, dist)
-            if steps is not None and (best is None or steps < best):
-                best = steps
-        return best
-
-    @staticmethod
-    def _steps_for_distance(
-        chain: Tuple[Tuple[int, Tuple[str, int]], ...], dist: int
-    ) -> Optional[int]:
-        # Distance d requires meeting at a switch whose scope covers d:
-        # rack switch covers distance 1, pod switch 2..3 (implicit pods make
-        # rack==pod), dc root 3, cloud root 4.
-        scope_needed = {1: "rack", 2: "pod", 3: "dcroot", 4: "cloudroot"}[dist]
-        order = ["rack", "pod", "dcroot", "cloudroot"]
-        min_rank = order.index(scope_needed)
-        for steps, (_, (kind, _key)) in enumerate(chain):
-            rank = order.index("pod" if kind == "rack-as-pod" else kind)
-            if rank >= min_rank:
-                return steps + 1
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

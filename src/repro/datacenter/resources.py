@@ -3,7 +3,7 @@
 A :class:`ResourceVector` bundles the three host-level resource dimensions
 the paper schedules (vCPUs, memory, disk space). Network bandwidth is *not*
 part of the vector because it lives on links, not hosts; see
-:mod:`repro.datacenter.network`.
+:meth:`repro.datacenter.model.Cloud.path`.
 """
 
 from __future__ import annotations

@@ -122,7 +122,7 @@ class DefragExecutor:
             return False
         topology = migration.topology
         state = ostro.state
-        sim = _Simulator(topology, state, ostro.resolver, deployed.placement)
+        sim = _Simulator(topology, state, deployed.placement)
         rec = obs.get_recorder()
         for index, step in enumerate(migration.plan.steps):
             if self.step_hook is not None:

@@ -36,7 +36,6 @@ from repro.core.objective import Objective
 from repro.core.placement import Placement
 from repro.core.scheduler import make_algorithm
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import DeadlineError, PlacementError
 from repro.sim.utilization import fragmentation_report, placement_spread
@@ -128,14 +127,13 @@ class DefragPassPlan:
 
 def _release_placement(
     state: DataCenterState,
-    resolver: PathResolver,
     topology: ApplicationTopology,
     placement: Placement,
 ) -> None:
     """Release one application's reservations on a scratch state (the
     exact inverse of :meth:`repro.core.scheduler.Ostro.commit`)."""
     for link in topology.links:
-        path = resolver.path(
+        path = state.cloud.path(
             placement.host_of(link.a), placement.host_of(link.b)
         )
         state.release_path(path, link.bw_mbps)
@@ -162,7 +160,7 @@ def _placement_value(
     Scored against ``scratch`` -- the cloned state with this
     application's reservations released -- which is exactly the
     reference the fresh search scores its candidate against: u_bw from
-    the resolver's current paths, u_c counting the placement's hosts
+    the cloud's paths, u_c counting the placement's hosts
     that are idle on ``scratch`` (hosts only this application keeps
     active). Using the same reference on both sides makes keep-vs-move a
     like-for-like comparison; in particular, re-deriving the identical
@@ -170,7 +168,7 @@ def _placement_value(
     """
     ubw = 0.0
     for link in topology.links:
-        path = ostro.resolver.path(
+        path = ostro.cloud.path(
             placement.host_of(link.a), placement.host_of(link.b)
         )
         ubw += link.bw_mbps * len(path)
@@ -308,7 +306,7 @@ class DefragPlanner:
         deployed = ostro.deployed(app_name)
         topology, old = deployed.topology, deployed.placement
         scratch = ostro.state.clone()
-        _release_placement(scratch, ostro.resolver, topology, old)
+        _release_placement(scratch, topology, old)
         objective = Objective.for_topology(
             topology, ostro.cloud, ostro.theta_bw, ostro.theta_c
         )

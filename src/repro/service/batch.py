@@ -5,11 +5,11 @@ at a horizon boundary are grouped into *compatible* batches (same
 algorithm/options -- the engine's own -- and no duplicate application
 names) and placed **jointly**: one global-state snapshot opens the
 transaction, each member is routed through the coordinator under the
-shared scheduler context (memoized path resolver, shared estimate
-caches, one batch span), and any member failure rolls the *whole* batch
-back to the snapshot before a per-request fallback replays the members
-individually -- so one infeasible request cannot reject its cohort, and
-a fully feasible batch costs exactly one transactional boundary.
+shared scheduler context (shared estimate caches, one batch span), and
+any member failure rolls the *whole* batch back to the snapshot before
+a per-request fallback replays the members individually -- so one
+infeasible request cannot reject its cohort, and a fully feasible batch
+costs exactly one transactional boundary.
 
 Because joint placement admits members sequentially in drain order, and
 the fallback replays the same order on the restored snapshot, a batched

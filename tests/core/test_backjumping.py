@@ -17,7 +17,6 @@ from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.builder import build_datacenter
 from repro.datacenter.loadgen import apply_table_iv_load
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 from tests.core.test_greedy import verify_placement_feasible
@@ -40,7 +39,7 @@ class TestBacktrackingPlace:
         state = DataCenterState(small_dc)
         nic0 = small_dc.hosts[0].link_index
         state.reserve_path((nic0,), small_dc.link_capacity_mbps[nic0] - 50)
-        partial = PartialPlacement(topo, state, PathResolver(small_dc))
+        partial = PartialPlacement(topo, state)
         return topo, partial
 
     def _first_fit_rank(self, partial):
@@ -124,7 +123,7 @@ class TestNicAwareDeadEndAvoidance:
             mem_gb=1,
             nic_mbps=cloud.hosts[host].nic_bw_mbps - 100,
         )
-        partial = PartialPlacement(topo, state, PathResolver(cloud))
+        partial = PartialPlacement(topo, state)
         partial.assign("u", host)  # consumes the last CPU
         estimator = LowerBoundEstimator(cloud)  # informative: tracks NICs
         est_bw, _ = estimator.estimate(partial, ["v"])

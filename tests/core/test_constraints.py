@@ -8,13 +8,12 @@ from repro.core import constraints
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Level
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 
 
 def make_partial(topo, cloud, state=None):
     return PartialPlacement(
-        topo, state or DataCenterState(cloud), PathResolver(cloud)
+        topo, state or DataCenterState(cloud)
     )
 
 

@@ -11,7 +11,6 @@ from repro.core.greedy import EG
 from repro.core.placement import PartialPlacement
 from repro.core.scheduler import Ostro
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError, TopologyError
 from repro.heat.template import template_from_topology, topology_from_template
@@ -19,7 +18,7 @@ from repro.heat.template import template_from_topology, topology_from_template
 
 def make_partial(topo, cloud, state=None):
     return PartialPlacement(
-        topo, state or DataCenterState(cloud), PathResolver(cloud)
+        topo, state or DataCenterState(cloud)
     )
 
 
@@ -97,7 +96,7 @@ class TestCpuPolicies:
         t = ApplicationTopology()
         t.add_vm("burst", 8, 4, cpu_policy="best_effort")
         state = DataCenterState(small_dc, best_effort_cpu_factor=0.5)
-        partial = PartialPlacement(t, state, PathResolver(small_dc))
+        partial = PartialPlacement(t, state)
         partial.assign("burst", 0)
         assert partial.state.free_cpu[0] == 16 - 4  # 8 * 0.5
 

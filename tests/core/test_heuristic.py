@@ -8,12 +8,11 @@ from repro.core.heuristic import EstimatorConfig, LowerBoundEstimator
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Level
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 
 
 def make_partial(topo, cloud):
-    return PartialPlacement(topo, DataCenterState(cloud), PathResolver(cloud))
+    return PartialPlacement(topo, DataCenterState(cloud))
 
 
 @pytest.fixture
@@ -263,9 +262,8 @@ class TestAdmissibilityOnSmallInstances:
         names = list(topo.nodes)
         best = float("inf")
         state = DataCenterState(cloud)
-        resolver = PathResolver(cloud)
         for hosts in product(range(cloud.num_hosts), repeat=len(names)):
-            partial = PP(topo, state, resolver)
+            partial = PP(topo, state)
             try:
                 for name, host in zip(names, hosts):
                     node = topo.node(name)

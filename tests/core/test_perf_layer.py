@@ -36,7 +36,6 @@ from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.builder import build_datacenter
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 
@@ -45,7 +44,6 @@ def make_partial(topo, cloud, state=None):
     return PartialPlacement(
         topo,
         state if state is not None else DataCenterState(cloud),
-        PathResolver.for_cloud(cloud),
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 
@@ -25,7 +24,7 @@ def topo():
 @pytest.fixture
 def partial(topo, small_dc):
     state = DataCenterState(small_dc)
-    return PartialPlacement(topo, state, PathResolver(small_dc))
+    return PartialPlacement(topo, state)
 
 
 class TestAssign:
@@ -84,7 +83,7 @@ class TestAssign:
         # starve host 4's NIC so the a<->b flow cannot be reserved
         nic4 = small_dc.hosts[4].link_index
         state.reserve_path((nic4,), small_dc.link_capacity_mbps[nic4] - 50)
-        partial = PartialPlacement(topo, state, PathResolver(small_dc))
+        partial = PartialPlacement(topo, state)
         partial.assign("a", 0)
         before = partial.state.snapshot()
         with pytest.raises(PlacementError):
@@ -123,7 +122,7 @@ class TestAccounting:
     def test_preactive_host_not_counted(self, topo, small_dc):
         state = DataCenterState(small_dc)
         state.consume_background(0, vcpus=1, mem_gb=1)
-        partial = PartialPlacement(topo, state, PathResolver(small_dc))
+        partial = PartialPlacement(topo, state)
         partial.assign("a", 0)
         assert partial.uc == 0  # host 0 was already active
 

@@ -16,7 +16,6 @@ from repro.core.heuristic import LowerBoundEstimator
 from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 
@@ -44,7 +43,7 @@ class TestMostFreeNicTie:
         state = DataCenterState(small_dc)
         nic0 = small_dc.hosts[0].link_index
         state.reserve_path((nic0,), 5000)
-        partial = PartialPlacement(t, state, PathResolver(small_dc))
+        partial = PartialPlacement(t, state)
         key = most_free_nic_tie(partial)
         drained = CandidateTarget(host=0)
         fresh = CandidateTarget(host=1)
@@ -58,16 +57,15 @@ class TestGreedyWithRestarts:
         t.add_vm("b", 2, 2)
         t.connect("a", "b", 100)
         state = DataCenterState(small_dc)
-        resolver = PathResolver(small_dc)
         objective = Objective.for_topology(t, small_dc)
         estimator = LowerBoundEstimator(small_dc)
-        return t, state, resolver, objective, estimator
+        return t, state, objective, estimator
 
     def test_first_strategy_wins_no_restarts(self, small_dc):
-        t, state, resolver, objective, estimator = self._context(small_dc)
+        t, state, objective, estimator = self._context(small_dc)
         stats = SearchStats()
         partial = greedy_with_restarts(
-            t, state, resolver, objective, estimator,
+            t, state, objective, estimator,
             GreedyConfig(), stats, {},
             strategies=[(list(t.nodes), None), (list(t.nodes), None)],
         )
@@ -75,13 +73,13 @@ class TestGreedyWithRestarts:
         assert len(partial.assignments) == 2
 
     def test_falls_through_to_working_strategy(self, small_dc):
-        t, state, resolver, objective, estimator = self._context(small_dc)
+        t, state, objective, estimator = self._context(small_dc)
         stats = SearchStats()
         bogus_order = ["a"]  # incomplete order places only one node -- use
         # an impossible first strategy instead: an order with an unknown
         # node raises inside run_greedy_from via candidate generation.
         partial = greedy_with_restarts(
-            t, state, resolver, objective, estimator,
+            t, state, objective, estimator,
             GreedyConfig(), stats, {},
             strategies=[
                 (["a", "b"], _impossible_tie),
@@ -92,32 +90,32 @@ class TestGreedyWithRestarts:
         assert len(partial.assignments) == 2
 
     def test_all_fail_reraises_first_error(self, small_dc):
-        t, state, resolver, objective, estimator = self._context(small_dc)
+        t, state, objective, estimator = self._context(small_dc)
         stats = SearchStats()
         with pytest.raises(PlacementError):
             greedy_with_restarts(
-                t, state, resolver, objective, estimator,
+                t, state, objective, estimator,
                 GreedyConfig(), stats, {},
                 strategies=[(["a", "b"], _impossible_tie)],
             )
 
     def test_objective_override_strategy(self, small_dc):
-        t, state, resolver, objective, estimator = self._context(small_dc)
+        t, state, objective, estimator = self._context(small_dc)
         stats = SearchStats()
         bw_only = Objective(1.0, 0.0, objective.ubw_hat, objective.uc_hat)
         partial = greedy_with_restarts(
-            t, state, resolver, objective, estimator,
+            t, state, objective, estimator,
             GreedyConfig(), stats, {},
             strategies=[(["a", "b"], None, bw_only)],
         )
         assert len(partial.assignments) == 2
 
     def test_failed_attempts_leave_no_residue(self, small_dc):
-        t, state, resolver, objective, estimator = self._context(small_dc)
+        t, state, objective, estimator = self._context(small_dc)
         stats = SearchStats()
         before = state.snapshot()
         partial = greedy_with_restarts(
-            t, state, resolver, objective, estimator,
+            t, state, objective, estimator,
             GreedyConfig(), stats, {},
             strategies=[
                 (["a", "b"], _impossible_tie),

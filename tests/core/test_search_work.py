@@ -8,7 +8,7 @@
   reference (``_candidate_targets_python``, a stable ``_immediate_cost``
   sort, then the cap split), and only the targets a search scores or tries
   are ever built.
-* ``StateView`` / ``CloudArrays`` / ``PathResolver`` are weak-keyed caches
+* ``StateView`` / ``CloudArrays`` are weak-keyed caches
   whose values hold no strong reference to their key, so a searched state
   and a dropped cloud are freed.
 """
@@ -45,7 +45,6 @@ from repro.core.topology import ApplicationTopology
 from repro.datacenter.builder import build_datacenter
 from repro.datacenter.loadgen import apply_random_load
 from repro.datacenter.model import Level
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from tests.conftest import make_three_tier
 from tests.test_properties import topologies
@@ -136,7 +135,7 @@ class TestLazyRanking:
         # sort (stable) below that, which would hide an unstable ranking
         cloud, state = _loaded(seed=seed, racks=4, hosts=6)
         objective = Objective.for_topology(topo, cloud)
-        partial = PartialPlacement(topo, state, PathResolver.for_cloud(cloud))
+        partial = PartialPlacement(topo, state)
         order = topo.sorted_by_weight()
         # a partial placement of the first few nodes, on drawn candidates
         for name, pick in zip(order[: min(placed, len(order) - 1)], picks):
@@ -176,9 +175,7 @@ class TestLazyRanking:
         topo.add_vm("vm", 2, 2)
         topo.add_volume("v", 50)
         topo.connect("vm", "v", 100)
-        partial = PartialPlacement(
-            topo, DataCenterState(cloud), PathResolver.for_cloud(cloud)
-        )
+        partial = PartialPlacement(topo, DataCenterState(cloud))
         objective = Objective.for_topology(topo, cloud)
         reference = _candidate_targets_python(partial, "v", dedup=False)
         with kernel.use_kernel("crosscheck"):
@@ -214,7 +211,7 @@ class TestBacktrackIntoTail:
         outcomes = {}
         for name in ("python", "numpy", "crosscheck"):
             topo, state = _trap(cloud)
-            partial = PartialPlacement(topo, state, PathResolver.for_cloud(cloud))
+            partial = PartialPlacement(topo, state)
             stats = SearchStats()
             with kernel.use_kernel(name):
                 run_greedy_from(
@@ -301,7 +298,6 @@ class TestCachesFreeTheirKeys:
         cloud, state = _loaded()
         with kernel.use_kernel(kernel_name):
             make_algorithm().place(make_three_tier(), cloud, state)
-        assert PathResolver.for_cloud(cloud).cloud is cloud
         cloud_ref, state_ref = weakref.ref(cloud), weakref.ref(state)
         del cloud, state
         gc.collect()

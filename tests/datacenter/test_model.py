@@ -136,6 +136,21 @@ class TestPaths:
         for a, b in [(0, 0), (0, 1), (0, 2), (0, 4), (0, 8)]:
             assert podded_cloud.hop_count(a, b) == len(podded_cloud.path(a, b))
 
+    def test_path_lists_lower_indexed_host_first(self, podded_cloud):
+        for a, b in [(0, 1), (0, 2), (0, 4), (0, 8), (7, 3)]:
+            low, high = sorted((a, b))
+            path = podded_cloud.path(a, b)
+            assert path[0] == podded_cloud.hosts[low].link_index
+            assert podded_cloud.hosts[high].link_index in path
+            assert podded_cloud.distance(a, b) == podded_cloud.distance(b, a)
+
+    def test_path_order_is_symmetric(self, small_dc):
+        assert small_dc.path(5, 0) == small_dc.path(0, 5)
+
+    def test_hop_count_same_rack_and_same_host(self, small_dc):
+        assert small_dc.hop_count(0, 1) == 2
+        assert small_dc.hop_count(0, 0) == 0
+
 
 class TestHopArithmetic:
     def test_max_hop_count_podless(self, small_dc):
@@ -157,16 +172,15 @@ class TestHopArithmetic:
 
 
 class TestMinHopsMemo:
-    """``min_hops_for_distance`` is memoized per cloud; the memo must
-    answer exactly what a fresh scan of the uplink chains answers,
-    including raising for a distance the cloud cannot realise."""
+    """``min_hops_for_distance`` is precomputed per cloud; it must answer
+    exactly what a fresh scan of the per-host ``steps_at_dist`` table
+    answers, including raising for a distance the cloud cannot realise."""
 
     @staticmethod
     def _scan(cloud, dist):
         if dist <= 0:
             return 0
-        steps = [Cloud._steps_for_distance(chain, dist) for chain in cloud._chains]
-        steps = [s for s in steps if s is not None]
+        steps = [row[dist] for row in cloud.steps_at_dist if row[dist]]
         return 2 * min(steps) if steps else None
 
     @pytest.mark.parametrize(
@@ -185,7 +199,7 @@ class TestMinHopsMemo:
     )
     def test_memo_equals_scan(self, make):
         cloud = make()
-        for _ in range(2):  # the second round answers from the memo
+        for _ in range(2):  # repeated calls answer the same
             for dist in range(5):
                 expected = self._scan(cloud, dist)
                 if expected is None:

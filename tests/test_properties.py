@@ -21,7 +21,6 @@ from repro.core.topology import ApplicationTopology
 from repro.datacenter.builder import build_cloud, build_datacenter
 from repro.datacenter.loadgen import apply_random_load
 from repro.datacenter.model import Level
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 from repro.heat.template import template_from_topology, topology_from_template
@@ -206,7 +205,7 @@ class TestStateRoundTrips:
 
         cloud = small_cloud()
         state = DataCenterState(cloud)
-        partial = PartialPlacement(topo, state, PathResolver(cloud))
+        partial = PartialPlacement(topo, state)
         before = partial.state.snapshot()
         rng = random.Random(order_seed)
         placed = []

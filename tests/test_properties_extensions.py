@@ -16,7 +16,6 @@ from repro.core.greedy import EG, EGBW, EGC
 from repro.core.placement import PartialPlacement
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.builder import build_datacenter
-from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
 
@@ -104,7 +103,7 @@ class TestCpuPolicyProperties:
         topo = ApplicationTopology()
         topo.add_vm("x", vcpus, 1, cpu_policy=policy)
         state = DataCenterState(cloud, best_effort_cpu_factor=factor)
-        partial = PartialPlacement(topo, state, PathResolver(cloud))
+        partial = PartialPlacement(topo, state)
         before = partial.state.snapshot()
         partial.assign("x", 0)
         expected = vcpus * factor if policy == "best_effort" else vcpus
